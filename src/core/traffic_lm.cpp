@@ -276,19 +276,15 @@ std::vector<std::vector<float>> TrafficLM::next_logits_batch(
 }
 
 LmDecoder::LmDecoder(const TrafficLM& lm)
-    : lm_(&lm), cache_(lm.encoder_->make_paged_cache()) {}
+    : LmDecoder(lm, lm.make_kv_pool(lm.kv_blocks_per_sequence())) {}
 
 LmDecoder::LmDecoder(const TrafficLM& lm,
                      std::shared_ptr<model::KvBlockPool> pool)
     : lm_(&lm), cache_(lm.encoder_->make_paged_cache(std::move(pool))) {}
 
 std::vector<float> LmDecoder::advance(int token_id) {
-  static const auto f_crash = fault::point("core.decode.crash");
-  if (f_crash.fire()) throw fault::CrashInjected{"core.decode.crash"};
-  const nn::InferenceGuard guard;
-  const Tensor hidden = lm_->encoder_->forward_incremental(token_id, cache_);
-  const Tensor logits = lm_->head_->forward(hidden);  // [1, V]
-  return {logits.data().begin(), logits.data().end()};
+  LmDecoder* self[1] = {this};
+  return std::move(advance_batch(self, {&token_id, 1}).front());
 }
 
 std::vector<std::vector<float>> LmDecoder::advance_batch(
@@ -336,8 +332,7 @@ std::vector<int> frame_for_score(const std::vector<std::string>& tokens,
 }
 
 /// Stable log-softmax at the realized next token, in double: the per-step
-/// term `total -=` accumulates in score(). Shared by the serial and
-/// batched score paths so their arithmetic is identical by construction.
+/// term `total -=` accumulates in score_batch().
 double log_prob_term(const std::vector<float>& logits, int next_id) {
   float maxv = logits[0];
   for (float v : logits) maxv = std::max(maxv, v);
@@ -349,8 +344,7 @@ double log_prob_term(const std::vector<float>& logits, int next_id) {
 }
 
 /// One sampling step: special-token masking, temperature, optional top-k
-/// truncation, softmax draw from `rng`. Shared by the serial and batched
-/// sample paths so their draws are identical by construction.
+/// truncation, softmax draw from `rng`.
 int sample_next_token(std::vector<float> logits, const SampleOptions& options,
                       Rng& rng) {
   // Never emit padding/[CLS]/[MASK]; [SEP] ends the sequence.
@@ -391,19 +385,8 @@ double TrafficLM::score(const std::vector<std::string>& tokens) const {
 
 double TrafficLM::score(const std::vector<std::string>& tokens,
                         LmDecoder& decoder) const {
-  const std::vector<int> ids =
-      frame_for_score(tokens, vocab_, encoder_->config().max_seq_len);
-  if (ids.size() < 2) return 0.0;
-
-  decoder.reset();
-  double total = 0.0;
-  std::size_t count = 0;
-  for (std::size_t t = 0; t + 1 < ids.size(); ++t) {
-    const std::vector<float> logits = decoder.advance(ids[t]);
-    total -= log_prob_term(logits, ids[t + 1]);
-    ++count;
-  }
-  return total / static_cast<double>(count);
+  LmDecoder* decoders[1] = {&decoder};
+  return score_batch({&tokens, 1}, decoders).front();
 }
 
 std::vector<double> TrafficLM::score_batch(
@@ -423,8 +406,8 @@ std::vector<double> TrafficLM::score_batch(
   }
   // Lockstep decode: at step t, every sequence that still has a target
   // token joins one batched forward. Sequences fall out of the batch as
-  // they end; per-sequence accumulation is untouched, so each element is
-  // bitwise equal to the serial score.
+  // they end. Each row's logits equal next_logits() over its prefix, so
+  // an element does not depend on which sequences share its steps.
   std::vector<LmDecoder*> active;
   std::vector<int> step_tokens;
   std::vector<std::size_t> who;
@@ -461,25 +444,9 @@ std::vector<std::string> TrafficLM::sample(const SampleOptions& options,
 std::vector<std::string> TrafficLM::sample(const SampleOptions& options,
                                            Rng& rng,
                                            LmDecoder& decoder) const {
-  std::vector<int> ids = {tok::Vocabulary::kCls};
-  std::vector<std::string> out;
-  // max_tokens + 1 accounts for [CLS]; compare before adding so a huge
-  // max_tokens (e.g. SIZE_MAX) can't wrap to 0 and emit nothing.
-  const std::size_t cap = encoder_->config().max_seq_len;
-  const std::size_t limit =
-      options.max_tokens >= cap ? cap : options.max_tokens + 1;
-  // KV-cached decode: each step appends one token's K/V per layer instead
-  // of re-running the whole prefix — logits are bit-identical to
-  // next_logits(ids), so sampling draws the exact same tokens.
-  decoder.reset();
-  while (ids.size() < limit) {
-    std::vector<float> logits = decoder.advance(ids.back());
-    const int token = sample_next_token(std::move(logits), options, rng);
-    if (token == tok::Vocabulary::kSep) break;
-    ids.push_back(token);
-    out.push_back(vocab_.token(token));
-  }
-  return out;
+  Rng* rngs[1] = {&rng};
+  LmDecoder* decoders[1] = {&decoder};
+  return std::move(sample_batch({&options, 1}, rngs, decoders).front());
 }
 
 std::vector<std::vector<std::string>> TrafficLM::sample_batch(
@@ -495,15 +462,17 @@ std::vector<std::vector<std::string>> TrafficLM::sample_batch(
   std::vector<std::size_t> limit(n);
   std::vector<char> done(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
+    // max_tokens + 1 accounts for [CLS]; compare before adding so a huge
+    // max_tokens (e.g. SIZE_MAX) can't wrap to 0 and emit nothing.
     limit[i] = options[i].max_tokens >= cap ? cap : options[i].max_tokens + 1;
     decoders[i]->reset();
     if (ids[i].size() >= limit[i]) done[i] = 1;
   }
   // Lockstep decode: every still-active stream feeds its last token into
-  // one batched forward, then draws from its own Rng through the shared
-  // per-step sampling code — so each stream's tokens are bitwise equal to
-  // a serial sample() with the same options/seed. Streams drop out of the
-  // batch on [SEP] or their token limit.
+  // one batched forward, then draws from its own Rng. Each row's logits
+  // equal next_logits() over its prefix, so a stream's tokens depend only
+  // on its own options and seed. Streams drop out of the batch on [SEP]
+  // or their token limit.
   std::vector<LmDecoder*> active;
   std::vector<int> step_tokens;
   std::vector<std::size_t> who;

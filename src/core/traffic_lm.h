@@ -65,7 +65,8 @@ class TrafficLM {
 
   /// Same draw through a caller-owned decoder (reset on entry): a pooled
   /// per-session decoder produces the exact tokens a fresh one would, so
-  /// the serving layer can reuse KvCache allocations across requests.
+  /// the serving layer can reuse a session's KV blocks across requests.
+  /// sample_batch() with one stream.
   std::vector<std::string> sample(const SampleOptions& options, Rng& rng,
                                   LmDecoder& decoder) const;
 
@@ -81,25 +82,25 @@ class TrafficLM {
 
   /// score() through a caller-owned decoder (reset on entry). The cached
   /// logits are bitwise-equal after a reset, so a pooled per-session
-  /// decoder returns the exact score a fresh one would.
+  /// decoder returns the exact score a fresh one would. score_batch() with
+  /// one sequence.
   double score(const std::vector<std::string>& tokens,
                LmDecoder& decoder) const;
 
   /// score() for many sequences at once, one decoder per sequence (all on
-  /// this model), run as lockstep batched decode steps — one padded
-  /// forward per step across every still-active sequence via
-  /// LmDecoder::advance_batch. Per-sequence math is untouched, so
-  /// element i is bitwise equal to score(sequences[i], *decoders[i]).
+  /// this model, reset on entry), run as lockstep batched decode steps —
+  /// one forward per step across every still-active sequence via
+  /// LmDecoder::advance_batch. Element i does not depend on the other
+  /// sequences: it is bitwise equal to score(sequences[i]).
   std::vector<double> score_batch(
       std::span<const std::vector<std::string>> sequences,
       std::span<LmDecoder* const> decoders) const;
 
   /// sample() for many streams at once (options[i]/rngs[i]/decoders[i]
-  /// drive stream i), decoded in lockstep batched steps. Each stream draws
-  /// from its own Rng with the per-step sampling math unchanged, so
-  /// element i is bitwise equal to sample(options[i], *rngs[i],
-  /// *decoders[i]). Streams drop out of the batch as they emit [SEP] or
-  /// hit their token limit.
+  /// drive stream i; decoders reset on entry), decoded in lockstep batched
+  /// steps. Each stream draws from its own Rng, so element i is bitwise
+  /// equal to sample(options[i], *rngs[i]). Streams drop out of the batch
+  /// as they emit [SEP] or hit their token limit.
   std::vector<std::vector<std::string>> sample_batch(
       std::span<const SampleOptions> options, std::span<Rng* const> rngs,
       std::span<LmDecoder* const> decoders) const;
@@ -120,9 +121,9 @@ class TrafficLM {
   void prequantize() const;
 
   /// Logits for the next token after `ids` (ids start with [CLS]).
-  /// Re-runs the full forward every call — the uncached reference path that
-  /// LmDecoder is tested and benchmarked against. Throws invalid_argument
-  /// on empty input.
+  /// Re-runs the full forward every call — the uncached oracle that
+  /// LmDecoder's logits equal bitwise. Throws invalid_argument on empty
+  /// input.
   std::vector<float> next_logits(std::span<const int> ids) const;
 
   /// next_logits() for many sequences at once: pads to the longest
@@ -149,7 +150,7 @@ class TrafficLM {
 };
 
 /// Incremental decoder: feeds tokens one at a time through the paged
-/// KV-cached fast path (model::PagedKvCache), so appending a token to a
+/// KV-cached route (model::PagedKvCache), so appending a token to a
 /// T-token prefix costs O(T) instead of the O(T^2) full re-forward of
 /// TrafficLM::next_logits — with bit-identical logits. One decoder per
 /// generation stream; reset() (or a fresh decoder) starts a new stream and
@@ -158,9 +159,8 @@ class TrafficLM {
 /// share one block pool.
 class LmDecoder {
  public:
-  /// Decoder with a private block pool sized for one full sequence — the
-  /// drop-in equivalent of the old dense-cache decoder (it can always
-  /// reach max_seq_len).
+  /// Decoder with a private block pool sized for one full sequence, so it
+  /// can always reach max_seq_len.
   explicit LmDecoder(const TrafficLM& lm);
 
   /// Decoder drawing KV blocks from a shared pool (from
@@ -171,15 +171,16 @@ class LmDecoder {
   LmDecoder(const TrafficLM& lm, std::shared_ptr<model::KvBlockPool> pool);
 
   /// Feeds `token_id` at position cached_tokens() and returns the logits
-  /// for the *next* token. Observes the `core.decode.crash` fault point;
-  /// after an injected crash, reset() restores a clean (cold-cache) state.
+  /// for the *next* token: advance_batch() with one decoder. Observes the
+  /// `core.decode.crash` fault point; after an injected crash, reset()
+  /// restores a clean (cold-cache) state.
   std::vector<float> advance(int token_id);
 
   /// One lockstep decode step across many decoders (all on one TrafficLM,
   /// all distinct): feeds token_ids[i] to decoders[i] and returns each
-  /// next-token logits row. Row i is bitwise equal to
-  /// decoders[i]->advance(token_ids[i]) — one padded forward replaces n
-  /// serial ones. Observes `core.decode.crash` once per step; on
+  /// next-token logits row. Row i is bitwise equal to next_logits() over
+  /// decoder i's prefix, whatever else shares the step — one forward
+  /// replaces n serial ones. Observes `core.decode.crash` once per step; on
   /// ContextFullError no decoder has advanced.
   static std::vector<std::vector<float>> advance_batch(
       std::span<LmDecoder* const> decoders, std::span<const int> token_ids);

@@ -33,14 +33,6 @@ void publish_reserved_bytes(std::size_t delta, bool add) noexcept {
 
 }  // namespace
 
-std::size_t default_kv_block_tokens() noexcept {
-  static const std::size_t value = [] {
-    const std::size_t v = env_size("NETFM_KV_BLOCK", 16);
-    return v == 0 ? std::size_t{16} : v;
-  }();
-  return value;
-}
-
 std::size_t default_kv_pool_blocks() noexcept {
   static const std::size_t value = env_size("NETFM_KV_BLOCKS", 0);
   return value;

@@ -1,11 +1,12 @@
 // Paged attention KV storage: a shared pool of fixed-size token blocks plus
-// per-session block tables (vLLM-style), replacing the dense per-session
-// `layers x heads x max_seq_len x head_dim` reservation of KvCache.
+// per-session block tables (vLLM-style). This is the only incremental-decode
+// KV store; TransformerEncoder::forward_incremental_batch reads and appends
+// through it.
 //
 // A KvBlockPool owns, per layer, one K and one V buffer laid out as
 // [num_blocks][heads][block_tokens][head_dim] — so each (block, head) is a
 // contiguous run of `block_tokens` rows, exactly the row-major stride the
-// dispatched weighted_sum kernels consume. Blocks are handed out from a
+// dispatched weighted_sum_acc kernel consumes. Blocks are handed out from a
 // mutex-protected free list; a PagedKvCache records which blocks hold its
 // tokens, in token order. Many sessions share one pool, so resident KV
 // memory scales with *live decoded tokens* instead of with
@@ -14,9 +15,9 @@
 // Thread safety: try_alloc/free_block synchronize through the pool mutex,
 // which is also the handoff edge for block contents — two sessions never
 // hold the same block, so concurrent decodes on distinct caches touch
-// disjoint rows. The same staleness rule as KvCache applies: cached rows
-// are projections of the current weights; reset() after any weight
-// mutation.
+// disjoint rows. Cached rows are projections of the current weights:
+// reset() after any weight mutation (training step, checkpoint load) —
+// stale rows would silently mix old and new parameters.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,9 @@ namespace netfm::model {
 
 /// Thrown when an incremental decode cannot append another token: either
 /// the session hit the model's max_seq_len, or (pool_exhausted()) the
-/// shared block pool has no free block. Derives std::invalid_argument so
-/// callers of the dense route's "cache full" contract keep working; the
-/// serving layer maps pool_exhausted() to a typed `context_full` reject.
+/// shared block pool has no free block. Derives std::invalid_argument, so
+/// a "cache full" catch of invalid_argument sees both cases; the serving
+/// layer maps pool_exhausted() to a typed `context_full` reject.
 class ContextFullError : public std::invalid_argument {
  public:
   explicit ContextFullError(const std::string& what, bool pool_exhausted = false)
@@ -43,8 +44,10 @@ class ContextFullError : public std::invalid_argument {
   bool pool_exhausted_;
 };
 
-/// Tokens per KV block: NETFM_KV_BLOCK, default 16. Read once.
-std::size_t default_kv_block_tokens() noexcept;
+/// Tokens per KV block in pools built by TransformerEncoder::make_block_pool.
+/// Decoded logits are bit-identical at every block size; KvBlockPool itself
+/// takes any positive size.
+inline constexpr std::size_t kKvBlockTokens = 16;
 
 /// Shared-pool block count override: NETFM_KV_BLOCKS, 0 when unset. Read
 /// once. Consumers fall back to their own sizing rule when 0.
@@ -151,8 +154,7 @@ struct PagedKvCache {
   }
   ~PagedKvCache() { release(); }
 
-  /// Forgets all cached tokens but keeps the held blocks (the paged
-  /// analogue of KvCache::reset keeping its allocation) — a recycled
+  /// Forgets all cached tokens but keeps the held blocks — a recycled
   /// session replays into the same blocks with zero allocator traffic.
   void reset() noexcept { length = 0; }
 

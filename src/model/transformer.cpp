@@ -181,87 +181,22 @@ Tensor EncoderBlock::forward(const Tensor& x, const AttentionContext& ctx,
   return norm_ffn_.forward(nn::add(x1, ffn));
 }
 
-Tensor EncoderBlock::forward_incremental(const Tensor& x, KvCache& cache,
-                                         std::size_t layer) const {
-  // Bitwise equivalence with the batched forward rests on three facts:
-  //  - Linear/LayerNorm/GELU rows are computed independently of how many
+Tensor EncoderBlock::forward_incremental_batch(
+    const Tensor& x, std::span<PagedKvCache* const> caches,
+    std::size_t layer) const {
+  // Row b of this step is bit-identical to the row of the full forward at
+  // session b's position. That rests on three facts:
+  //  - Linear/LayerNorm/GELU (and the int8 quant GEMM, which quantizes
+  //    activations per row) compute each row independently of how many
   //    rows share the tensor, and the GEMM reduces K in a fixed serial
-  //    order per output element regardless of blocking — so projecting
-  //    just this token's row reproduces the full forward's row exactly.
-  //  - The manual dot/accumulate loops below reduce over the same index
-  //    ranges in the same order as the batched matmuls.
+  //    order per output element regardless of blocking.
+  //  - The per-(b, h) dot/softmax/accumulate loops below reduce over the
+  //    same index ranges in the same order as the batched matmuls, with
+  //    the j-th K/V row looked up through the block table.
   //  - In the full forward, causally masked score entries are set to
   //    -1e9f, underflow to exactly 0.0f in exp(), and contribute +0.0f to
   //    every sum — so attending over only the [0, t] prefix is
   //    bit-identical to the masked full-row softmax.
-  const TransformerConfig& cfg = *config_;
-  const std::size_t heads = cfg.num_heads;
-  const std::size_t dk = cfg.head_dim();
-  const std::size_t cap = cache.capacity;
-  const std::size_t t = cache.length;  // position of this token
-
-  const Tensor q = query_.forward(x);  // [1, D]
-  const Tensor k = key_.forward(x);
-  const Tensor v = value_.forward(x);
-
-  // Append this token's K/V rows (head h lives at columns [h*dk, h*dk+dk)).
-  float* kc = cache.keys[layer].data();
-  float* vc = cache.values[layer].data();
-  const float* kp = k.data().data();
-  const float* vp = v.data().data();
-  for (std::size_t h = 0; h < heads; ++h) {
-    std::copy_n(kp + h * dk, dk, kc + (h * cap + t) * dk);
-    std::copy_n(vp + h * dk, dk, vc + (h * cap + t) * dk);
-  }
-
-  Tensor context = Tensor::empty({1, heads * dk});
-  float* op = context.data().data();
-  const float* qp = q.data().data();
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
-  std::span<float> s = nn::Workspace::current().scratch(t + 1);
-  for (std::size_t h = 0; h < heads; ++h) {
-    const float* qh = qp + h * dk;
-    const float* kh = kc + h * cap * dk;
-    const float* vh = vc + h * cap * dk;
-    // Scaled scores over the cached prefix (same reduction order and the
-    // same multiply-after-dot as matmul + nn::scale).
-    for (std::size_t j = 0; j <= t; ++j) {
-      float dot = 0.0f;
-      const float* krow = kh + j * dk;
-      for (std::size_t c = 0; c < dk; ++c) dot += qh[c] * krow[c];
-      s[j] = dot * scale;
-    }
-    // Softmax over [0, t] — the identical row loop from nn::softmax.
-    float maxv = s[0];
-    for (std::size_t j = 1; j <= t; ++j) maxv = std::max(maxv, s[j]);
-    float total = 0.0f;
-    for (std::size_t j = 0; j <= t; ++j) {
-      s[j] = std::exp(s[j] - maxv);
-      total += s[j];
-    }
-    for (std::size_t j = 0; j <= t; ++j) s[j] /= total;
-    // context = attn · V, accumulated in cache order (matmul's K order) on
-    // the dispatched kernel backend — same per-element reduction order on
-    // every backend, so this stays bit-identical to the batched forward.
-    nn::kernels::table().weighted_sum(s.data(), vh, t + 1, dk, op + h * dk);
-  }
-
-  const Tensor attended = output_.forward(context);
-  const Tensor x1 = norm_attn_.forward(nn::add(x, attended));
-  const Tensor ffn = ffn_out_.forward(nn::gelu(ffn_in_.forward(x1)));
-  return norm_ffn_.forward(nn::add(x1, ffn));
-}
-
-Tensor EncoderBlock::forward_incremental_batch(
-    const Tensor& x, std::span<PagedKvCache* const> caches,
-    std::size_t layer) const {
-  // Row b of this step is bit-identical to forward_incremental on session
-  // b alone: Linear/LayerNorm/GELU (and the int8 quant GEMM, which
-  // quantizes activations per row) compute each row independently of how
-  // many rows share the tensor, and the per-(b, h) attention loops below
-  // are the dense route's loops with the j-th K/V row looked up through
-  // the block table instead of a dense buffer — same indices, same order,
-  // same arithmetic.
   const TransformerConfig& cfg = *config_;
   const std::size_t heads = cfg.num_heads;
   const std::size_t dk = cfg.head_dim();
@@ -309,8 +244,8 @@ Tensor EncoderBlock::forward_incremental_batch(
     for (std::size_t h = 0; h < heads; ++h) {
       const float* qh = qp + b * d_model + h * dk;
       // Scaled scores over the cached prefix, walked through the block
-      // table (same reduction order and multiply-after-dot as the dense
-      // route).
+      // table (same reduction order and multiply-after-dot as matmul +
+      // nn::scale).
       for (std::size_t j = 0; j <= t; ++j) {
         float dot = 0.0f;
         const float* krow =
@@ -328,8 +263,8 @@ Tensor EncoderBlock::forward_incremental_batch(
       }
       for (std::size_t j = 0; j <= t; ++j) s[j] /= total;
       // context = attn · V accumulated run-by-run across the block table
-      // on the dispatched backend — bit-identical to one contiguous
-      // weighted_sum (see paged_weighted_sum).
+      // on the dispatched backend, in cache order (matmul's K order) — see
+      // paged_weighted_sum.
       runs.clear();
       for (std::size_t r = 0; r < n_runs; ++r)
         runs.push_back(pool.value_head(layer, cache.blocks[r], h));
@@ -411,59 +346,8 @@ Tensor TransformerEncoder::forward(const Batch& batch, bool train) const {
   return x;
 }
 
-KvCache TransformerEncoder::make_cache() const {
-  KvCache cache;
-  cache.layers = config_.num_layers;
-  cache.heads = config_.num_heads;
-  cache.head_dim = config_.head_dim();
-  cache.capacity = config_.max_seq_len;
-  const std::size_t per_layer = cache.heads * cache.capacity * cache.head_dim;
-  cache.keys.resize(cache.layers);
-  cache.values.resize(cache.layers);
-  for (std::size_t i = 0; i < cache.layers; ++i) {
-    cache.keys[i].resize(per_layer);
-    cache.values[i].resize(per_layer);
-  }
-  return cache;
-}
-
-Tensor TransformerEncoder::forward_incremental(int token_id,
-                                               KvCache& cache) const {
-  static const auto h_forward = metrics::histogram("infer.forward_ns");
-  static const auto c_kv_hits =
-      metrics::counter("infer.kv_hit_tokens", "token");
-  metrics::ScopedTimer forward_timer(h_forward);
-  nn::Workspace::current().reset_scratch();
-  if (!config_.causal)
-    throw std::invalid_argument(
-        "forward_incremental: requires a causal config (later tokens must "
-        "not change earlier rows)");
-  if (cache.layers != config_.num_layers || cache.heads != config_.num_heads ||
-      cache.head_dim != config_.head_dim() ||
-      cache.capacity != config_.max_seq_len)
-    throw std::invalid_argument(
-        "forward_incremental: cache geometry mismatch (use make_cache())");
-  if (cache.length >= cache.capacity)
-    throw std::invalid_argument("forward_incremental: cache full");
-
-  const int position = static_cast<int>(cache.length);
-  c_kv_hits.add(cache.length);  // prefix tokens served from cache, not recomputed
-  const int ids[1] = {token_id};
-  const int positions[1] = {position};
-  const int segments[1] = {0};
-  Tensor x = nn::embedding(token_embed_.tensor, ids);
-  x = nn::add(x, nn::embedding(position_embed_.tensor, positions));
-  x = nn::add(x, nn::embedding(segment_embed_.tensor, segments));
-  x = embed_norm_.forward(x);
-  // No dropout: incremental decode is inference-only (train=false).
-  for (std::size_t layer = 0; layer < blocks_.size(); ++layer)
-    x = blocks_[layer]->forward_incremental(x, cache, layer);
-  ++cache.length;
-  return x;
-}
-
 std::size_t TransformerEncoder::blocks_per_sequence() const noexcept {
-  return kv_blocks_for(config_.max_seq_len, default_kv_block_tokens());
+  return kv_blocks_for(config_.max_seq_len, kKvBlockTokens);
 }
 
 std::shared_ptr<KvBlockPool> TransformerEncoder::make_block_pool(
@@ -472,7 +356,7 @@ std::shared_ptr<KvBlockPool> TransformerEncoder::make_block_pool(
   if (num_blocks == 0) num_blocks = blocks_per_sequence();
   return std::make_shared<KvBlockPool>(config_.num_layers, config_.num_heads,
                                        config_.head_dim(),
-                                       default_kv_block_tokens(), num_blocks);
+                                       kKvBlockTokens, num_blocks);
 }
 
 PagedKvCache TransformerEncoder::make_paged_cache(
@@ -485,22 +369,6 @@ PagedKvCache TransformerEncoder::make_paged_cache(
     throw std::invalid_argument(
         "make_paged_cache: pool geometry mismatch (use make_block_pool())");
   return PagedKvCache(std::move(pool), config_.max_seq_len);
-}
-
-PagedKvCache TransformerEncoder::make_paged_cache() const {
-  // A private pool sized for exactly one full sequence (independent of the
-  // NETFM_KV_BLOCKS shared-pool override): the session can always decode
-  // to max_seq_len, matching the dense make_cache() contract.
-  return make_paged_cache(std::make_shared<KvBlockPool>(
-      config_.num_layers, config_.num_heads, config_.head_dim(),
-      default_kv_block_tokens(), blocks_per_sequence()));
-}
-
-Tensor TransformerEncoder::forward_incremental(int token_id,
-                                               PagedKvCache& cache) const {
-  PagedKvCache* caches[1] = {&cache};
-  const int ids[1] = {token_id};
-  return forward_incremental_batch(ids, caches);
 }
 
 Tensor TransformerEncoder::forward_incremental_batch(

@@ -53,25 +53,6 @@ struct AttentionContext {
                                 const AttentionContext* previous = nullptr);
 };
 
-/// Per-layer attention key/value history for incremental decoding: feeding
-/// token t through TransformerEncoder::forward_incremental appends one
-/// [H, dk] row per layer and attends over the cached prefix, so a step
-/// costs O(T) in the sequence length instead of the O(T^2) of re-running
-/// the full forward. Rows [0, length) of each layer buffer are valid.
-///
-/// The cache holds projections of the *current* weights: reset() it after
-/// any weight mutation (training step, checkpoint load) — stale rows would
-/// silently mix old and new parameters (see DESIGN.md).
-struct KvCache {
-  std::size_t layers = 0, heads = 0, head_dim = 0, capacity = 0;
-  std::size_t length = 0;  // tokens cached so far
-  // One [H, capacity, dk] row-major buffer per layer.
-  std::vector<nn::FloatBuffer> keys, values;
-
-  /// Forgets all cached tokens (keeps the allocation).
-  void reset() noexcept { length = 0; }
-};
-
 /// Dense affine layer (weight [in, out], bias [out]).
 class Linear {
  public:
@@ -117,24 +98,15 @@ class EncoderBlock {
   nn::Tensor forward(const nn::Tensor& x, const AttentionContext& ctx,
                      bool train, Rng& rng) const;
 
-  /// One-token decode step: x is [1, D] for the token at position
-  /// `cache.length`; appends this layer's K/V rows to the cache and attends
-  /// over the cached prefix. Bit-identical to the corresponding row of the
-  /// full forward (see the implementation notes). Does not update
-  /// last_attention().
-  nn::Tensor forward_incremental(const nn::Tensor& x, KvCache& cache,
-                                 std::size_t layer) const;
-
   /// Batched one-token decode step over B independent sessions: x is
   /// [B, D] (row b is session b's token at position caches[b]->length).
   /// Appends each row's K/V into its session's current KV block and
   /// attends over that session's block table. Row b is bit-identical to
-  /// the dense forward_incremental on session b alone — projections,
-  /// LayerNorm, GELU, and the quantized GEMM are all row-independent, and
-  /// the per-head attention loops reduce the same indices in the same
-  /// order through the block table. Callers must have reserved each
-  /// cache's block for this step already (see
-  /// TransformerEncoder::forward_incremental_batch).
+  /// the corresponding row of forward() over session b's prefix (see the
+  /// implementation notes). Callers must have reserved each cache's block
+  /// for this step already (see
+  /// TransformerEncoder::forward_incremental_batch). Does not update
+  /// last_attention().
   nn::Tensor forward_incremental_batch(const nn::Tensor& x,
                                        std::span<PagedKvCache* const> caches,
                                        std::size_t layer) const;
@@ -165,48 +137,28 @@ class TransformerEncoder {
   /// Returns contextual embeddings [B*T, D].
   nn::Tensor forward(const Batch& batch, bool train = false) const;
 
-  /// An empty cache sized for this encoder (capacity = max_seq_len).
-  KvCache make_cache() const;
-
-  /// Feeds one token at position `cache.length` and returns its contextual
-  /// embedding [1, D]. Requires a causal config and a cache from
-  /// make_cache(). The result is bit-identical to the last row of
-  /// forward() over the same prefix, at O(T) cost per step instead of
-  /// O(T^2). Typically run under nn::InferenceGuard; no dropout is applied
-  /// (equivalent to train=false).
-  nn::Tensor forward_incremental(int token_id, KvCache& cache) const;
-
   /// A shared paged KV block pool sized for this encoder. `num_blocks` 0
   /// means NETFM_KV_BLOCKS when set, else exactly one full sequence
-  /// (ceil(max_seq_len / block_tokens)); block size comes from
-  /// NETFM_KV_BLOCK (default 16 tokens).
+  /// (ceil(max_seq_len / kKvBlockTokens)).
   std::shared_ptr<KvBlockPool> make_block_pool(std::size_t num_blocks = 0) const;
 
-  /// Blocks one max_seq_len sequence needs under the configured block size.
+  /// Blocks one max_seq_len sequence needs at kKvBlockTokens per block.
   std::size_t blocks_per_sequence() const noexcept;
 
   /// An empty paged cache drawing from `pool` (geometry must match this
-  /// encoder). The no-arg overload builds a private single-sequence pool —
-  /// a drop-in replacement for make_cache() that can never run out of
-  /// blocks before max_seq_len.
+  /// encoder; any block size).
   PagedKvCache make_paged_cache(std::shared_ptr<KvBlockPool> pool) const;
-  PagedKvCache make_paged_cache() const;
-
-  /// Paged analogue of forward_incremental(int, KvCache&): bit-identical
-  /// to it (and so to the full forward) at every step. Throws
-  /// ContextFullError when the session is at max_seq_len or
-  /// (pool_exhausted()) the shared pool has no free block; on pool
-  /// exhaustion the cache is left unmodified, so the session can retry
-  /// after blocks are freed.
-  nn::Tensor forward_incremental(int token_id, PagedKvCache& cache) const;
 
   /// One lockstep decode step across B sessions: token_ids[b] is fed to
   /// caches[b] at its current length; returns the B contextual embeddings
-  /// as [B, D]. Each row is bit-identical to the serial dense route on
-  /// that session alone. Blocks needed by this step are reserved up front
-  /// across all sessions — on exhaustion the reservation is rolled back
-  /// and ContextFullError{pool_exhausted()=true} is thrown with every
-  /// cache unmodified.
+  /// as [B, D]. Requires a causal config. Row b is bit-identical to the
+  /// last row of forward() over session b's prefix, at O(T) cost per step
+  /// instead of O(T^2); B = 1 is the serial case. Throws ContextFullError
+  /// when a session is at max_seq_len or (pool_exhausted()) the pools
+  /// cannot supply this step's blocks — the reservation is all-or-nothing,
+  /// so on exhaustion every cache is left unmodified and the step can be
+  /// retried after blocks are freed. Typically run under
+  /// nn::InferenceGuard; no dropout is applied (equivalent to train=false).
   nn::Tensor forward_incremental_batch(std::span<const int> token_ids,
                                        std::span<PagedKvCache* const> caches) const;
 

@@ -60,19 +60,13 @@ struct KernelTable {
                     std::size_t N, float* c, std::size_t row_lo,
                     std::size_t row_hi, bool accumulate);
 
-  /// out[c] = sum over j in [0, t) of w[j] * rows[j * dk + c], with j
+  /// out[c] += sum over j in [0, t) of w[j] * rows[j * dk + c], with j
   /// reduced serially in ascending order per output element (the batched
-  /// matmul's K order). The attention context accumulation of the
-  /// incremental-decode path.
-  void (*weighted_sum)(const float* w, const float* rows, std::size_t t,
-                       std::size_t dk, float* out);
-
-  /// weighted_sum that *accumulates into* out instead of overwriting it:
-  /// out[c] += sum over j in [0, t) of w[j] * rows[j * dk + c], same serial
-  /// ascending-j reduction. Used to chain weighted_sum across the
-  /// fixed-size runs of a paged KV block table: fp32 stores between runs
-  /// round-trip exactly, so run-by-run accumulation is bit-identical to one
-  /// contiguous weighted_sum over the same rows.
+  /// matmul's K order), seeded from the existing out values. The attention
+  /// context accumulation of the incremental-decode path: fp32 stores
+  /// between calls round-trip exactly, so chaining it across the
+  /// fixed-size runs of a paged KV block table from a zeroed out is
+  /// bit-identical to one reduction over the same rows.
   void (*weighted_sum_acc)(const float* w, const float* rows, std::size_t t,
                            std::size_t dk, float* out);
 
@@ -111,25 +105,23 @@ void set_backend(Backend b);
 /// unknown name.
 Backend parse(std::string_view name);
 
-/// Block-table-aware weighted_sum over a paged KV head: the t attended
-/// rows live in n_runs fixed-size contiguous runs (`runs[r]` is run r's
-/// first row; every run holds `run_tokens` rows of dk floats except the
-/// last, which holds the remainder). Runs are reduced in ascending token
-/// order through the dispatched weighted_sum / weighted_sum_acc kernels;
-/// the per-element add sequence is identical to one contiguous
-/// weighted_sum over the same t rows, so the result is bit-identical to
-/// the dense route on every backend.
+/// Attention context over a paged KV head: out = sum over j in [0, t) of
+/// w[j] * row j, where the t attended rows live in n_runs fixed-size
+/// contiguous runs (`runs[r]` is run r's first row; every run holds
+/// `run_tokens` rows of dk floats except the last, which holds the
+/// remainder). out is zeroed, then the runs are reduced in ascending token
+/// order through the dispatched weighted_sum_acc, so each element starts
+/// from +0.0f and sees the same mul-then-add sequence as the full
+/// forward's attention matmul — bit-identical on every backend.
 inline void paged_weighted_sum(const KernelTable& kt, const float* w,
                                const float* const* runs, std::size_t n_runs,
                                std::size_t run_tokens, std::size_t t,
                                std::size_t dk, float* out) {
+  for (std::size_t c = 0; c < dk; ++c) out[c] = 0.0f;
   for (std::size_t r = 0; r < n_runs; ++r) {
     const std::size_t lo = r * run_tokens;
     const std::size_t len = t - lo < run_tokens ? t - lo : run_tokens;
-    if (r == 0)
-      kt.weighted_sum(w + lo, runs[r], len, dk, out);
-    else
-      kt.weighted_sum_acc(w + lo, runs[r], len, dk, out);
+    kt.weighted_sum_acc(w + lo, runs[r], len, dk, out);
   }
 }
 

@@ -63,29 +63,12 @@ void gemm_rows_avx2(MatRef a, const float* packed_b, std::size_t K,
   }
 }
 
-void weighted_sum_avx2(const float* w, const float* rows, std::size_t t,
-                       std::size_t dk, float* out) {
-  std::size_t c = 0;
-  for (; c + 8 <= dk; c += 8) {
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t j = 0; j < t; ++j)
-      acc = _mm256_add_ps(
-          acc, _mm256_mul_ps(_mm256_set1_ps(w[j]),
-                             _mm256_loadu_ps(rows + j * dk + c)));
-    _mm256_storeu_ps(out + c, acc);
-  }
-  for (; c < dk; ++c) {
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < t; ++j) acc += w[j] * rows[j * dk + c];
-    out[c] = acc;
-  }
-}
-
 void weighted_sum_acc_avx2(const float* w, const float* rows, std::size_t t,
                            std::size_t dk, float* out) {
-  // weighted_sum_avx2 with the accumulator seeded from out: loading the
-  // previous run's fp32 partials is a value-preserving round-trip, so the
-  // add sequence per element matches one contiguous weighted_sum.
+  // Vectorized across output columns only, accumulator seeded from out:
+  // loading the previous run's fp32 partials is a value-preserving
+  // round-trip, so the add sequence per element matches one contiguous
+  // reduction over the same rows.
   std::size_t c = 0;
   for (; c + 8 <= dk; c += 8) {
     __m256 acc = _mm256_loadu_ps(out + c);
@@ -151,7 +134,6 @@ extern const KernelTable kAvx2Table;
 const KernelTable kAvx2Table = {
     "avx2",
     gemm_rows_avx2,
-    weighted_sum_avx2,
     weighted_sum_acc_avx2,
     gemm_i8_avx2,
 };

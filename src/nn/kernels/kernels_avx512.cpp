@@ -51,34 +51,12 @@ void gemm_rows_avx512(MatRef a, const float* packed_b, std::size_t K,
   }
 }
 
-void weighted_sum_avx512(const float* w, const float* rows, std::size_t t,
-                         std::size_t dk, float* out) {
-  std::size_t c = 0;
-  for (; c + 16 <= dk; c += 16) {
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t j = 0; j < t; ++j)
-      acc = _mm512_add_ps(
-          acc, _mm512_mul_ps(_mm512_set1_ps(w[j]),
-                             _mm512_loadu_ps(rows + j * dk + c)));
-    _mm512_storeu_ps(out + c, acc);
-  }
-  if (c < dk) {
-    const __mmask16 edge =
-        static_cast<__mmask16>((1u << (dk - c)) - 1u);
-    __m512 acc = _mm512_setzero_ps();
-    for (std::size_t j = 0; j < t; ++j)
-      acc = _mm512_add_ps(
-          acc, _mm512_mul_ps(_mm512_set1_ps(w[j]),
-                             _mm512_maskz_loadu_ps(edge, rows + j * dk + c)));
-    _mm512_mask_storeu_ps(out + c, edge, acc);
-  }
-}
-
 void weighted_sum_acc_avx512(const float* w, const float* rows, std::size_t t,
                              std::size_t dk, float* out) {
-  // weighted_sum_avx512 with the accumulator seeded from out: loading the
-  // previous run's fp32 partials is a value-preserving round-trip, so the
-  // add sequence per element matches one contiguous weighted_sum.
+  // Vectorized across output columns only, accumulator seeded from out:
+  // loading the previous run's fp32 partials is a value-preserving
+  // round-trip, so the add sequence per element matches one contiguous
+  // reduction over the same rows.
   std::size_t c = 0;
   for (; c + 16 <= dk; c += 16) {
     __m512 acc = _mm512_loadu_ps(out + c);
@@ -134,7 +112,6 @@ extern const KernelTable kAvx512Table;
 const KernelTable kAvx512Table = {
     "avx512",
     gemm_rows_avx512,
-    weighted_sum_avx512,
     weighted_sum_acc_avx512,
     gemm_i8_avx512,
 };

@@ -60,28 +60,12 @@ void gemm_rows_neon(MatRef a, const float* packed_b, std::size_t K,
   }
 }
 
-void weighted_sum_neon(const float* w, const float* rows, std::size_t t,
-                       std::size_t dk, float* out) {
-  std::size_t c = 0;
-  for (; c + 4 <= dk; c += 4) {
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    for (std::size_t j = 0; j < t; ++j)
-      acc = vaddq_f32(
-          acc, vmulq_f32(vdupq_n_f32(w[j]), vld1q_f32(rows + j * dk + c)));
-    vst1q_f32(out + c, acc);
-  }
-  for (; c < dk; ++c) {
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < t; ++j) acc += w[j] * rows[j * dk + c];
-    out[c] = acc;
-  }
-}
-
 void weighted_sum_acc_neon(const float* w, const float* rows, std::size_t t,
                            std::size_t dk, float* out) {
-  // weighted_sum_neon with the accumulator seeded from out: loading the
-  // previous run's fp32 partials is a value-preserving round-trip, so the
-  // add sequence per element matches one contiguous weighted_sum.
+  // Vectorized across output columns only, accumulator seeded from out:
+  // loading the previous run's fp32 partials is a value-preserving
+  // round-trip, so the add sequence per element matches one contiguous
+  // reduction over the same rows.
   std::size_t c = 0;
   for (; c + 4 <= dk; c += 4) {
     float32x4_t acc = vld1q_f32(out + c);
@@ -125,7 +109,6 @@ extern const KernelTable kNeonTable;
 const KernelTable kNeonTable = {
     "neon",
     gemm_rows_neon,
-    weighted_sum_neon,
     weighted_sum_acc_neon,
     gemm_i8_neon,
 };

@@ -58,20 +58,10 @@ void gemm_rows_scalar(MatRef a, const float* packed_b, std::size_t K,
     gemm_rows_impl<false>(a, packed_b, K, N, c, row_lo, row_hi);
 }
 
-void weighted_sum_scalar(const float* w, const float* rows, std::size_t t,
-                         std::size_t dk, float* out) {
-  for (std::size_t c = 0; c < dk; ++c) out[c] = 0.0f;
-  for (std::size_t j = 0; j < t; ++j) {
-    const float wj = w[j];
-    const float* row = rows + j * dk;
-    for (std::size_t c = 0; c < dk; ++c) out[c] += wj * row[c];
-  }
-}
-
 void weighted_sum_acc_scalar(const float* w, const float* rows, std::size_t t,
                              std::size_t dk, float* out) {
-  // Same reduction as weighted_sum_scalar, seeded from the existing out
-  // values instead of zero.
+  // Serial ascending-j reduction per output element, seeded from out —
+  // the reference order every SIMD backend reproduces.
   for (std::size_t j = 0; j < t; ++j) {
     const float wj = w[j];
     const float* row = rows + j * dk;
@@ -101,7 +91,6 @@ extern const KernelTable kScalarTable;
 const KernelTable kScalarTable = {
     "scalar",
     gemm_rows_scalar,
-    weighted_sum_scalar,
     weighted_sum_acc_scalar,
     gemm_i8_scalar,
 };

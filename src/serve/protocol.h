@@ -49,8 +49,9 @@ inline constexpr RejectReason kAllRejectReasons[] = {
 std::string_view op_name(Op op) noexcept;
 std::string_view reject_reason_name(RejectReason reason) noexcept;
 
-/// One client request. `session` keys the per-session KvCache pool for the
-/// decoder-backed ops (score/generate); next_logits/embed are stateless.
+/// One client request. `session` keys the per-session decoder pool (and its
+/// paged KV cache) for the decoder-backed ops (score/generate);
+/// next_logits/embed are stateless.
 struct Request {
   Op op = Op::kScore;
   std::uint64_t session = 0;

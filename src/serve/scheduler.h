@@ -49,8 +49,8 @@
 // while a scheduler is live, direct batched calls on the same
 // TrafficLM/NetFM from other threads must not overlap in-flight requests.
 // One scheduler per model instance; per-session KV decoding stays safe on
-// other threads because forward_incremental touches only the caller's
-// KvCache.
+// other threads because forward_incremental_batch touches only the
+// caller's PagedKvCache rows (distinct sessions hold distinct blocks).
 #pragma once
 
 #include <atomic>
@@ -84,8 +84,8 @@ struct SchedulerOptions {
   std::size_t per_session_pending = 4;   // queued requests per session
   std::size_t session_capacity = 256;    // SessionPool size
   /// Shared KV block pool size for the session pool. 0 = NETFM_KV_BLOCKS
-  /// when set, else the SessionPool default (half the dense per-session
-  /// reservation).
+  /// when set, else the SessionPool default (session_capacity x
+  /// blocks-per-sequence / 2).
   std::size_t kv_blocks = 0;
 
   /// Default per-request budget (ms from admission) applied when a request

@@ -24,7 +24,7 @@ SessionPool::SessionPool(const core::TrafficLM& lm, std::size_t capacity,
   blocks_per_sequence_ = lm.kv_blocks_per_sequence();
   if (kv_blocks == 0) kv_blocks = model::default_kv_pool_blocks();
   if (kv_blocks == 0)
-    // Half the dense per-session reservation: most sessions are far from
+    // Half of one full sequence per session: most sessions are far from
     // max_seq_len at any instant, and reclaim_kv() evicts idle LRU
     // sessions when the pool runs tight.
     kv_blocks = std::max(blocks_per_sequence_,

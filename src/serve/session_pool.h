@@ -36,9 +36,9 @@ namespace netfm::serve {
 class SessionPool {
  public:
   /// `capacity` bounds live sessions. `kv_blocks` sizes the shared KV
-  /// block pool: 0 defers to NETFM_KV_BLOCKS, else defaults to half the
-  /// dense per-session reservation (capacity x blocks-per-sequence / 2,
-  /// floored at one full sequence) — LRU block reclaim covers the rest.
+  /// block pool: 0 defers to NETFM_KV_BLOCKS, else defaults to capacity x
+  /// blocks-per-sequence / 2, floored at one full sequence — LRU block
+  /// reclaim covers the rest.
   SessionPool(const core::TrafficLM& lm, std::size_t capacity,
               std::size_t kv_blocks = 0);
 

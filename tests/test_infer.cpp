@@ -371,13 +371,16 @@ TEST(Workspace, PooledTensorMayOutliveGuard) {
 
 // ---- Paged KV & cross-session batched decode ----------------------------
 //
-// The batched route's contract (DESIGN.md "Paged KV & batched decode") is
-// bitwise equivalence with the serial per-decoder route on every backend,
-// thread count, and quant setting — so all comparisons below are exact.
+// The decode route's contract (DESIGN.md "Paged KV & batched decode") is
+// bitwise equivalence with the full forward (TrafficLM::next_logits) at
+// every batch size, block size, backend, thread count, and quant setting —
+// so all comparisons below are exact. B = 1 is the serial case.
 
-/// Four equal-length token streams with distinct content (lockstep batches
-/// feed one token per live stream per step).
-std::vector<std::vector<int>> batch_token_ids(const tok::Vocabulary& vocab) {
+/// Four token streams of `len` tokens each ([CLS], then the stream's words
+/// cycled), with distinct content (lockstep batches feed one token per live
+/// stream per step).
+std::vector<std::vector<int>> batch_token_ids(const tok::Vocabulary& vocab,
+                                              std::size_t len) {
   const std::vector<std::vector<const char*>> words = {
       {"tcp", "p80", "fl_S", "dir_up", "pkt", "d_www"},
       {"udp", "p53", "dns_query", "dns_resp", "pkt", "dir_dn"},
@@ -387,18 +390,35 @@ std::vector<std::vector<int>> batch_token_ids(const tok::Vocabulary& vocab) {
   std::vector<std::vector<int>> ids;
   for (const auto& seq : words) {
     std::vector<int> stream = {tok::Vocabulary::kCls};
-    for (const char* t : seq) stream.push_back(vocab.id(t));
+    for (std::size_t p = 0; stream.size() < len; ++p)
+      stream.push_back(vocab.id(seq[p % seq.size()]));
     ids.push_back(std::move(stream));
   }
   return ids;
 }
 
+/// Exact equality of two logits rows, naming the first differing logit.
+::testing::AssertionResult same_logits(const std::vector<float>& got,
+                                       const std::vector<float>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  for (std::size_t j = 0; j < got.size(); ++j)
+    if (got[j] != want[j])
+      return ::testing::AssertionFailure()
+             << "logit " << j << ": " << got[j] << " vs " << want[j];
+  return ::testing::AssertionSuccess();
+}
+
 TEST(PagedKv, AdvanceBatchBitwiseEqualsSerialAcrossBackendsAndQuant) {
   const tok::Vocabulary vocab = tiny_vocab();
-  const core::TrafficLM lm(vocab, tiny_config(vocab.size()));
-  const std::vector<std::vector<int>> ids = batch_token_ids(vocab);
+  const model::TransformerConfig config = tiny_config(vocab.size());
+  const core::TrafficLM lm(vocab, config);
+  // Decode all the way to max_seq_len, so every block size below crosses
+  // at least one block boundary.
+  const std::size_t steps = config.max_seq_len;
+  const std::vector<std::vector<int>> ids = batch_token_ids(vocab, steps);
   const std::size_t batch = ids.size();
-  const std::size_t steps = ids.front().size();
 
   for (const bool quant_on : {false, true}) {
     QuantGuard quant_guard(quant_on);
@@ -406,37 +426,47 @@ TEST(PagedKv, AdvanceBatchBitwiseEqualsSerialAcrossBackendsAndQuant) {
     BackendGuard backend_guard;
     for (kernels::Backend b : kernels::available()) {
       kernels::set_backend(b);
+      const std::string route =
+          std::string(kernels::backend_name(b)) + (quant_on ? "/quant" : "");
       with_thread_counts([&] {
-        // Serial oracle: one private-pool decoder per stream.
+        // Oracles: the full forward over each prefix, and the serial route
+        // (one private-pool decoder per stream, B = 1), which must agree.
         std::vector<std::vector<std::vector<float>>> want(batch);
         for (std::size_t i = 0; i < batch; ++i) {
           core::LmDecoder decoder(lm);
-          for (std::size_t t = 0; t < steps; ++t)
-            want[i].push_back(decoder.advance(ids[i][t]));
+          for (std::size_t t = 0; t < steps; ++t) {
+            want[i].push_back(
+                lm.next_logits(std::span<const int>(ids[i].data(), t + 1)));
+            ASSERT_TRUE(same_logits(decoder.advance(ids[i][t]), want[i][t]))
+                << route << " serial stream " << i << " step " << t;
+          }
         }
 
-        // Batched route: every decoder draws from one shared pool.
-        const auto pool =
-            lm.make_kv_pool(batch * lm.kv_blocks_per_sequence());
-        std::vector<std::unique_ptr<core::LmDecoder>> decoders;
-        std::vector<core::LmDecoder*> ptrs;
-        for (std::size_t i = 0; i < batch; ++i) {
-          decoders.push_back(std::make_unique<core::LmDecoder>(lm, pool));
-          ptrs.push_back(decoders.back().get());
-        }
-        for (std::size_t t = 0; t < steps; ++t) {
-          std::vector<int> step;
-          for (std::size_t i = 0; i < batch; ++i) step.push_back(ids[i][t]);
-          const std::vector<std::vector<float>> got =
-              core::LmDecoder::advance_batch(ptrs, step);
-          ASSERT_EQ(got.size(), batch);
+        // Batched route: every decoder draws from one shared pool, at
+        // block sizes from one token per block up to the default.
+        for (const std::size_t block_tokens :
+             {std::size_t{1}, std::size_t{3}, model::kKvBlockTokens}) {
+          const auto pool = std::make_shared<model::KvBlockPool>(
+              config.num_layers, config.num_heads, config.head_dim(),
+              block_tokens, batch * model::kv_blocks_for(steps, block_tokens));
+          std::vector<std::unique_ptr<core::LmDecoder>> decoders;
+          std::vector<core::LmDecoder*> ptrs;
           for (std::size_t i = 0; i < batch; ++i) {
-            ASSERT_EQ(got[i].size(), want[i][t].size());
-            for (std::size_t j = 0; j < got[i].size(); ++j)
-              ASSERT_EQ(got[i][j], want[i][t][j])
-                  << kernels::backend_name(b) << (quant_on ? "/quant" : "")
-                  << " stream " << i << " step " << t << " logit " << j;
+            decoders.push_back(std::make_unique<core::LmDecoder>(lm, pool));
+            ptrs.push_back(decoders.back().get());
           }
+          for (std::size_t t = 0; t < steps; ++t) {
+            std::vector<int> step;
+            for (std::size_t i = 0; i < batch; ++i) step.push_back(ids[i][t]);
+            const std::vector<std::vector<float>> got =
+                core::LmDecoder::advance_batch(ptrs, step);
+            ASSERT_EQ(got.size(), batch);
+            for (std::size_t i = 0; i < batch; ++i)
+              ASSERT_TRUE(same_logits(got[i], want[i][t]))
+                  << route << " block_tokens " << block_tokens << " stream "
+                  << i << " step " << t;
+          }
+          EXPECT_EQ(pool->blocks_in_use(), pool->capacity_blocks());
         }
       });
     }

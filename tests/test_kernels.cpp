@@ -394,10 +394,11 @@ TEST(KernelWeightedSum, AccAndPagedBitwiseAcrossBackends) {
     const float* wp = w.data().data();
     const float* rp = rows.data().data();
 
-    // Scalar dense weighted_sum / weighted_sum_acc are the oracles.
+    // Scalar contiguous weighted_sum_acc (from zero, and from a bias) is
+    // the oracle.
     kernels::set_backend(kernels::Backend::kScalar);
-    std::vector<float> want(dk);
-    kernels::table().weighted_sum(wp, rp, t, dk, want.data());
+    std::vector<float> want(dk, 0.0f);
+    kernels::table().weighted_sum_acc(wp, rp, t, dk, want.data());
     std::vector<float> acc_want(dk, 0.25f);
     kernels::table().weighted_sum_acc(wp, rp, t, dk, acc_want.data());
 
@@ -417,9 +418,9 @@ TEST(KernelWeightedSum, AccAndPagedBitwiseAcrossBackends) {
       kernels::set_backend(b);
       const kernels::KernelTable& kt = kernels::table();
 
-      std::vector<float> dense(dk);
-      kt.weighted_sum(wp, rp, t, dk, dense.data());
-      std::vector<float> paged(dk, 99.0f);  // overwritten by the first run
+      std::vector<float> dense(dk, 0.0f);
+      kt.weighted_sum_acc(wp, rp, t, dk, dense.data());
+      std::vector<float> paged(dk, 99.0f);  // zeroed before the first run
       kernels::paged_weighted_sum(kt, wp, runs.data(), n_runs, run_tokens, t,
                                   dk, paged.data());
 
